@@ -4,11 +4,12 @@
 // strict determinism is what makes the reproduction's trials replayable
 // and its parallel sweeps byte-identical to serial ones.
 //
-// Simulated processes are ordinary Go functions running in goroutines, but
-// execution is strictly serialized: the scheduler and at most one process run
-// at any instant, handing control back and forth over unbuffered channels.
-// All ties are broken by schedule order, so a simulation with seeded random
-// sources replays identically.
+// Simulated processes are ordinary Go functions, each running on a runtime
+// coroutine (iter.Pull, see proc.go), so execution is strictly serialized:
+// the scheduler and at most one process run at any instant, and a handoff
+// between them is a coroutine switch on one thread. All ties are broken by
+// schedule order, so a simulation with seeded random sources replays
+// identically.
 //
 // The event queue is engineered for the 10⁵–10⁶-client trials of ROADMAP
 // item 1: a calendar queue (timing wheel + sorted bucket runs + small
@@ -28,16 +29,16 @@ package des
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
 
 // Env is a simulation environment: a clock and a pending-event queue.
-// Create one with NewEnv, start processes with Go, then call Run.
-// An Env must not be shared between operating-system threads that run
-// concurrently; all interaction happens from scheduler context (inside a
-// process or an event callback).
+// Create one with NewEnv, start processes with Go, then call Run; call
+// Shutdown when done to release the processes' coroutines. An Env must
+// not be shared between operating-system threads that run concurrently;
+// all interaction happens from scheduler context (inside a process or an
+// event callback).
 type Env struct {
 	now time.Duration
 	q   eventQueue
@@ -58,34 +59,35 @@ type Env struct {
 	// nDead counts heap entries whose event already resolved (canceled
 	// timers, re-armed completions). They are skipped on pop; when they
 	// outnumber live entries the heap is compacted in place.
-	nDead   int
-	yield   chan struct{} // process -> scheduler handoff
-	kill    chan struct{} // closed by Shutdown to unwind parked processes
+	nDead int
+	// live lists the processes started with Go that have not returned,
+	// newest first; procs is its length. idle holds coroutines whose last
+	// process returned, waiting for the next one (see proc.go).
+	live  *Proc
+	procs int
+	idle  []*coro
+	// running is set while Run executes: Shutdown must not be called then.
+	running bool
 	stopped bool
-	// procs counts processes started and not yet finished. It is atomic
-	// because Shutdown unwinds parked goroutines concurrently, each
-	// decrementing as it exits while callers may poll Live.
-	procs atomic.Int64
 	// interrupted is the only cross-thread input to a running simulation:
 	// wall-clock watchdogs set it to make Run return at the next event
 	// boundary (Shutdown cannot be called concurrently with Run). Run
 	// polls it every interruptStride events, not on every iteration, so
 	// the atomic load stays off the hot path.
 	interrupted atomic.Bool
-	// failure holds a panic captured from a process goroutine, handed to
-	// the scheduler over the yield channel so runProc can re-raise it in
-	// Run's calling context.
+	// failure holds a panic captured inside a process's coroutine, handed
+	// to the scheduler so runProc can re-raise it in Run's calling context.
 	failure *ProcPanic
 }
 
 // ProcPanic is a panic that escaped a simulated process. The process
-// goroutine cannot crash the program directly — the scheduler re-raises
-// the captured panic as a *ProcPanic from Run, where the experiment layer
-// can recover it and turn the trial into an error result.
+// cannot crash the program directly — the scheduler re-raises the captured
+// panic as a *ProcPanic from Run, where the experiment layer can recover it
+// and turn the trial into an error result.
 type ProcPanic struct {
 	Proc  string // diagnostic name passed to Go
 	Value any    // the original panic value
-	Stack []byte // the process goroutine's stack at the panic site
+	Stack []byte // the process's stack at the panic site
 }
 
 func (pp *ProcPanic) Error() string {
@@ -93,12 +95,7 @@ func (pp *ProcPanic) Error() string {
 }
 
 // NewEnv returns an environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		kill:  make(chan struct{}),
-	}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() time.Duration { return e.now }
@@ -114,8 +111,9 @@ func (e *Env) Pending() int { return e.q.len() - e.nDead }
 func (e *Env) queueLen() int { return e.q.len() }
 
 // Live returns the number of processes that have been started with Go and
-// have not yet returned.
-func (e *Env) Live() int { return int(e.procs.Load()) }
+// have not yet returned. Shutdown unwinds them all, so Live is 0 as soon as
+// it returns.
+func (e *Env) Live() int { return e.procs }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion
 // dead-entry counter must stay within the physical queue and no derived
@@ -212,10 +210,10 @@ func (e *Env) evAt(i uint32) *event {
 // resolved.
 func (e *Env) alloc() *event {
 	if len(e.free) == 0 {
-		base := len(e.arena) * slabSize
-		if base >= 1<<32 {
+		if len(e.arena) >= (1<<32)/slabSize {
 			panic("des: event arena exhausted (2^32 retained records)")
 		}
+		base := len(e.arena) * slabSize
 		slab := make([]event, slabSize)
 		for i := range slab {
 			slab[i].idx = uint32(base + i)
@@ -311,6 +309,8 @@ func (e *Env) Run(until time.Duration) int {
 	if e.stopped {
 		panic("des: Run after Shutdown")
 	}
+	e.running = true
+	defer func() { e.running = false }()
 	n := 0
 	poll := 0
 	for {
@@ -369,17 +369,6 @@ func (e *Env) Interrupt() { e.interrupted.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (e *Env) Interrupted() bool { return e.interrupted.Load() }
 
-// Shutdown unwinds every parked or not-yet-started process so their
-// goroutines exit. After Shutdown the Env is unusable. It is safe to call
-// once Run has returned; calling it from scheduler context panics.
-func (e *Env) Shutdown() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	close(e.kill)
-}
-
 // Timer is a re-armable scheduled callback owned by a single component —
 // the allocation-free replacement for the cancel-and-reschedule pattern
 // (a PS-CPU's completion event, a pool waiter's timeout). Arm cancels any
@@ -430,148 +419,6 @@ func (t *Timer) Stop() {
 
 // Armed reports whether a firing is pending.
 func (t *Timer) Armed() bool { return t.ev != nil }
-
-// killed is the sentinel panic value used to unwind process goroutines.
-type killedSentinel struct{}
-
-// Proc is a simulated process: a goroutine whose execution interleaves
-// deterministically with the simulation clock. All Proc methods must be
-// called from the process's own goroutine.
-type Proc struct {
-	env      *Env
-	name     string
-	wake     chan struct{}
-	data     any
-	cleanups []func()
-}
-
-// SetData attaches arbitrary user data to the process (e.g. a per-request
-// trace that downstream components append to).
-func (p *Proc) SetData(v any) { p.data = v }
-
-// Data returns the value set with SetData, or nil.
-func (p *Proc) Data() any { return p.data }
-
-// Defer registers fn to run when the process ends, on every exit path:
-// normal return, a panic captured by the scheduler, and the unwind paths of
-// Shutdown — including processes killed before their first scheduling.
-// Callbacks run in reverse registration order on the process's goroutine.
-//
-// During a Shutdown unwind many goroutines run their callbacks
-// concurrently with no scheduler, so callbacks must not touch the Env or
-// anything that schedules events (no Sleep, Park, pool Acquire/Release);
-// they exist to release external accounting, e.g. resource.Pool.Abandon.
-func (p *Proc) Defer(fn func()) { p.cleanups = append(p.cleanups, fn) }
-
-// runCleanups executes the registered callbacks LIFO, once.
-func (p *Proc) runCleanups() {
-	cs := p.cleanups
-	p.cleanups = nil
-	for i := len(cs) - 1; i >= 0; i-- {
-		cs[i]()
-	}
-}
-
-// Go starts a new process running fn. The process begins executing at the
-// current simulated time (after the caller yields control). name is used in
-// diagnostics only.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
-	e.procs.Add(1)
-	go func() {
-		select {
-		case <-p.wake:
-		case <-e.kill:
-			// Never started; no scheduler is waiting on us, but the
-			// shutdown cleanups still run to release external accounting.
-			p.runCleanups()
-			e.procs.Add(-1)
-			return
-		}
-		defer func() {
-			r := recover()
-			if _, killed := r.(killedSentinel); killed {
-				p.runCleanups()
-				e.procs.Add(-1)
-				return // unwound by Shutdown; scheduler is not waiting
-			}
-			// Capture the panic site before cleanups grow the stack.
-			var pp *ProcPanic
-			if r != nil {
-				pp = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			p.runCleanups()
-			if pp != nil {
-				// Hand the panic to the scheduler instead of crashing the
-				// program from this goroutine: runProc re-raises it in
-				// Run's calling context, where a trial wrapper can recover.
-				e.failure = pp
-			}
-			e.procs.Add(-1)
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.schedProc(e.now, p)
-	return p
-}
-
-// runProc transfers control to p and blocks until p yields again. If the
-// process died with a real panic, the captured *ProcPanic is re-raised
-// here — in scheduler context — so it propagates out of Run.
-func (e *Env) runProc(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.yield
-	if f := e.failure; f != nil {
-		e.failure = nil
-		panic(f)
-	}
-}
-
-// yield returns control to the scheduler and blocks until this process is
-// woken by a scheduled event (or unwound by Shutdown).
-func (p *Proc) yield() {
-	p.env.yield <- struct{}{}
-	select {
-	case <-p.wake:
-	case <-p.env.kill:
-		// The live-process count is decremented in Go's recover handler,
-		// after cleanups run — so Live() == 0 means every unwound process
-		// has finished releasing its external accounting, and the atomic
-		// gives an observer of 0 a happens-before edge to those cleanup
-		// writes.
-		panic(killedSentinel{})
-	}
-}
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current simulated time.
-func (p *Proc) Now() time.Duration { return p.env.now }
-
-// Name returns the diagnostic name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Sleep suspends the process for d of simulated time. Negative d panics.
-func (p *Proc) Sleep(d time.Duration) {
-	p.env.schedProc(p.env.now+d, p)
-	p.yield()
-}
-
-// Park suspends the process until another component calls Unpark on it.
-// Typical use: append p to a wait queue, then Park; the component that
-// grants the resource calls Unpark.
-func (p *Proc) Park() { p.yield() }
-
-// Unpark schedules p to resume at the current simulated time. It must be
-// called from scheduler context (another process or an event callback), and
-// p must be parked — or guaranteed to park before any further simulated
-// event fires — when the wakeup is delivered.
-func (p *Proc) Unpark() {
-	e := p.env
-	e.schedProc(e.now, p)
-}
 
 // eventHeap is a 4-ary min-heap of entries ordered by (at, seq) — half the
 // levels of a binary heap, with the four children of a node adjacent in

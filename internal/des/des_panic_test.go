@@ -37,10 +37,6 @@ func TestProcPanicPropagatesToRunCaller(t *testing.T) {
 	// The panicking proc unregistered itself; the bystander can still be
 	// unwound by Shutdown.
 	env.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)
-	for env.Live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Shutdown, want 0", env.Live())
 	}
@@ -62,25 +58,20 @@ func TestDeferRunsLIFOOnNormalExit(t *testing.T) {
 
 func TestDeferRunsOnShutdownUnwind(t *testing.T) {
 	env := NewEnv()
-	cleaned := make(chan string, 2)
+	var cleaned []string
 	env.Go("parked", func(p *Proc) {
-		p.Defer(func() { cleaned <- "parked" })
+		p.Defer(func() { cleaned = append(cleaned, "parked") })
 		p.Park()
 	})
 	env.Go("sleeping", func(p *Proc) {
-		p.Defer(func() { cleaned <- "sleeping" })
+		p.Defer(func() { cleaned = append(cleaned, "sleeping") })
 		p.Sleep(time.Hour)
 	})
 	env.Run(time.Second)
 	env.Shutdown()
-	got := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case name := <-cleaned:
-			got[name] = true
-		case <-time.After(2 * time.Second):
-			t.Fatalf("cleanups after Shutdown: got %v, want both", got)
-		}
+	// The unwind is synchronous and newest first.
+	if len(cleaned) != 2 || cleaned[0] != "sleeping" || cleaned[1] != "parked" {
+		t.Fatalf("cleanups after Shutdown = %v, want [sleeping parked]", cleaned)
 	}
 }
 

@@ -171,10 +171,6 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 		t.Fatalf("Live() = %d, want 2", env.Live())
 	}
 	env.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)
-	for env.Live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Shutdown, want 0", env.Live())
 	}
@@ -184,13 +180,9 @@ func TestShutdownUnwindsNeverStartedProc(t *testing.T) {
 	env := NewEnv()
 	started := false
 	// Start event scheduled at t=0 but we never call Run, so the process
-	// goroutine blocks waiting to be started.
+	// is never dispatched.
 	env.Go("never", func(p *Proc) { started = true })
 	env.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)
-	for env.Live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d, want 0", env.Live())
 	}
@@ -264,17 +256,29 @@ func BenchmarkEventThroughput(b *testing.B) {
 	env.Run(time.Duration(b.N+1) * time.Microsecond)
 }
 
+// BenchmarkProcSwitch is a Park/Unpark ping-pong between two processes:
+// one op is a round trip, two process switches and two scheduler events.
 func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
 	env := NewEnv()
-	env.Go("switcher", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
+	defer env.Shutdown()
+	var ping, pong *Proc
+	pong = env.Go("pong", func(p *Proc) {
+		for {
+			p.Park()
+			ping.Unpark()
 		}
 	})
+	ping = env.Go("ping", func(p *Proc) {
+		p.Sleep(time.Nanosecond) // let pong park first
+		for i := 0; i < b.N; i++ {
+			pong.Unpark()
+			p.Park()
+		}
+	})
+	env.Run(0)
 	b.ResetTimer()
-	env.Run(time.Duration(b.N+1) * time.Microsecond)
-	b.StopTimer()
-	env.Shutdown()
+	env.Run(time.Hour)
 }
 
 func TestProcDataSlot(t *testing.T) {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,8 +129,11 @@ func TestElasticSweepJournalResume(t *testing.T) {
 	}
 	defer st.Close()
 	cfg.Run.State = st
+	var mu sync.Mutex // OnTrial runs on the sweep's parallel workers
 	restored, ran := 0, 0
 	cfg.Run.OnTrial = func(key string, wasRestored bool, err error) {
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
 			t.Errorf("trial %s: %v", key, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,8 +189,11 @@ func TestFleetSweepJournalResume(t *testing.T) {
 	}
 	defer st.Close()
 	cfg.Run.State = st
+	var mu sync.Mutex // OnTrial runs on the sweep's parallel workers
 	restored, ran := 0, 0
 	cfg.Run.OnTrial = func(key string, wasRestored bool, err error) {
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
 			t.Errorf("trial %s: %v", key, err)
 		}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,8 +95,11 @@ func TestOverloadSweepResumesFromJournal(t *testing.T) {
 		}
 		defer st.Close()
 		cfg.State = st
+		var mu sync.Mutex // OnTrial runs on the sweep's parallel workers
 		restored := 0
 		cfg.OnTrial = func(key string, wasRestored bool, err error) {
+			mu.Lock()
+			defer mu.Unlock()
 			if wasRestored {
 				restored++
 			}

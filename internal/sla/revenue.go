@@ -81,7 +81,7 @@ func (c *Collector) EvaluateRevenue(m RevenueModel) (float64, error) {
 	}
 	// The response-time sample is stored in seconds.
 	total := 0.0
-	for _, rtSec := range c.rts.Values() {
+	for _, rtSec := range c.ResponseTimes().Values() {
 		total += m.Rate(time.Duration(rtSec * float64(time.Second)))
 	}
 	return total, nil

@@ -7,6 +7,7 @@ package sla
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/softres/ntier/internal/metrics"
@@ -33,8 +34,16 @@ type Collector struct {
 	late       uint64
 	elapsed    time.Duration
 
-	rts  metrics.Sample
-	hist *metrics.Histogram
+	// rtNS holds the response times as integer nanoseconds, half the
+	// memory of float64 seconds, until ResponseTimes is first called; an
+	// entry of math.MaxUint32 stands for the next value in rtBig (4.29 s or
+	// more). ResponseTimes moves them into rts, which then takes every
+	// observation. The conversion to seconds is exact either way.
+	rtNS  []uint32
+	rtBig []time.Duration
+	wide  bool
+	rts   metrics.Sample
+	hist  *metrics.Histogram
 }
 
 // NewCollector creates a collector for the given thresholds (typically
@@ -55,8 +64,31 @@ func (c *Collector) Observe(rt time.Duration) {
 			c.good[i]++
 		}
 	}
-	c.rts.Add(rt.Seconds())
+	switch {
+	case c.wide:
+		c.rts.Add(rt.Seconds())
+	case rt >= 0 && rt < math.MaxUint32:
+		c.rtNS = append(c.rtNS, uint32(rt))
+	default:
+		c.rtNS = append(c.rtNS, math.MaxUint32)
+		c.rtBig = append(c.rtBig, rt)
+	}
 	c.hist.Add(rt.Seconds())
+}
+
+// narrowRTs returns the response times held as nanoseconds, in observation
+// order, as a sample of seconds.
+func (c *Collector) narrowRTs() metrics.Sample {
+	var s metrics.Sample
+	big := c.rtBig
+	for _, ns := range c.rtNS {
+		d := time.Duration(ns)
+		if ns == math.MaxUint32 {
+			d, big = big[0], big[1:]
+		}
+		s.Add(d.Seconds())
+	}
+	return s
 }
 
 // ObserveShed records one request rejected by load shedding (admission
@@ -124,7 +156,13 @@ func (c *Collector) SatisfactionRatio(th time.Duration) float64 {
 }
 
 // ResponseTimes returns the collected response-time sample (seconds).
-func (c *Collector) ResponseTimes() *metrics.Sample { return &c.rts }
+func (c *Collector) ResponseTimes() *metrics.Sample {
+	if !c.wide {
+		c.rts, c.wide = c.narrowRTs(), true
+		c.rtNS, c.rtBig = nil, nil
+	}
+	return &c.rts
+}
 
 // Histogram returns the Fig. 3(c)-style response-time distribution.
 func (c *Collector) Histogram() *metrics.Histogram { return c.hist }
@@ -145,6 +183,11 @@ type collectorJSON struct {
 
 // MarshalJSON serializes the collector's full observation state.
 func (c *Collector) MarshalJSON() ([]byte, error) {
+	rts := &c.rts
+	if !c.wide {
+		narrow := c.narrowRTs()
+		rts = &narrow
+	}
 	return json.Marshal(collectorJSON{
 		Thresholds: c.thresholds,
 		Good:       c.good,
@@ -152,7 +195,7 @@ func (c *Collector) MarshalJSON() ([]byte, error) {
 		Shed:       c.shed,
 		Late:       c.late,
 		Elapsed:    c.elapsed,
-		RTs:        &c.rts,
+		RTs:        rts,
 		Hist:       c.hist,
 	})
 }
@@ -172,10 +215,10 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 	c.shed = v.Shed
 	c.late = v.Late
 	c.elapsed = v.Elapsed
+	c.rts, c.wide = metrics.Sample{}, true
+	c.rtNS, c.rtBig = nil, nil
 	if v.RTs != nil {
 		c.rts = *v.RTs
-	} else {
-		c.rts = metrics.Sample{}
 	}
 	c.hist = v.Hist
 	return nil

@@ -3,8 +3,11 @@ package sla
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/softres/ntier/internal/metrics"
 )
 
 func TestGoodputBadputSplit(t *testing.T) {
@@ -121,6 +124,45 @@ func TestResponseTimesSample(t *testing.T) {
 	}
 	if got := s.Percentile(100); got != 3 {
 		t.Errorf("max RT %v s, want 3", got)
+	}
+}
+
+// Response times are held as nanoseconds until read; the sample they turn
+// into, and the JSON written before and after that, must match collecting
+// float64 seconds directly — including values past the uint32 range and
+// observations made after the first read.
+func TestResponseTimesExactAcrossStorage(t *testing.T) {
+	c := NewCollector(StandardThresholds)
+	var want metrics.Sample
+	observe := func(rts ...time.Duration) {
+		for _, rt := range rts {
+			c.Observe(rt)
+			want.Add(rt.Seconds())
+		}
+	}
+	observe(0, 1, 1234567891, math.MaxUint32-1, math.MaxUint32, 7*time.Second, 333*time.Millisecond, time.Hour)
+	sameJSON := func(stage string) {
+		t.Helper()
+		got, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v struct{ RTs json.RawMessage }
+		if err := json.Unmarshal(got, &v); err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := json.Marshal(&want); string(v.RTs) != string(w) {
+			t.Errorf("%s: rts JSON %s, want %s", stage, v.RTs, w)
+		}
+	}
+	sameJSON("held as nanoseconds")
+	if got, w := c.ResponseTimes().Values(), want.Values(); !slices.Equal(got, w) {
+		t.Fatalf("ResponseTimes() = %v, want %v", got, w)
+	}
+	observe(2*time.Second, 5*time.Hour)
+	sameJSON("after ResponseTimes")
+	if got, w := c.ResponseTimes().Percentile(50), want.Percentile(50); got != w {
+		t.Errorf("median %v, want %v", got, w)
 	}
 }
 
