@@ -65,7 +65,7 @@ func BenchmarkEventLoop(b *testing.B) {
 }
 
 // BenchmarkMillionClients — a full closed-loop trial at 10⁵ concurrent
-// emulated users (one session process each) against the paper's 1/2/1/2
+// emulated users (one session each) against the paper's 1/2/1/2
 // testbed, two orders of magnitude past the figures' populations, plus an
 // open-system stream whose Little's-law equivalent population is 10⁶
 // (rate × 7 s think time, see rubbos.OpenEquivUsers). The closed run

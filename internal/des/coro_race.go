@@ -11,7 +11,9 @@ const raceEnabled = true
 // coroutine stopped under -race leaks tens of kilobytes, and a test suite
 // that runs thousands of trials exhausts memory. Race builds therefore
 // keep retired coroutines in one process-wide pool that every Env draws
-// from, which bounds their number by the peak of live processes.
+// from, which bounds their number by the peak of running processes —
+// started and not yet returned; a process waiting for its GoAt start holds
+// none.
 var coroPool struct {
 	sync.Mutex
 	idle []*coro

@@ -7,9 +7,12 @@
 // Simulated processes are ordinary Go functions, each running on a runtime
 // coroutine (iter.Pull, see proc.go), so execution is strictly serialized:
 // the scheduler and at most one process run at any instant, and a handoff
-// between them is a coroutine switch on one thread. All ties are broken by
-// schedule order, so a simulation with seeded random sources replays
-// identically.
+// between them is a coroutine switch on one thread. A process gets its
+// coroutine when it starts and returns it when it ends, so a model that
+// waits between bursts of work by scheduling a later process start
+// (Env.GoAt) rather than sleeping holds a coroutine only while it works.
+// All ties are broken by schedule order, so a simulation with seeded
+// random sources replays identically.
 //
 // The event queue is engineered for the 10⁵–10⁶-client trials of ROADMAP
 // item 1: a calendar queue (timing wheel + sorted bucket runs + small
@@ -34,8 +37,8 @@ import (
 )
 
 // Env is a simulation environment: a clock and a pending-event queue.
-// Create one with NewEnv, start processes with Go, then call Run; call
-// Shutdown when done to release the processes' coroutines. An Env must
+// Create one with NewEnv, start processes with Go or GoAt, then call Run;
+// call Shutdown when done to release the processes' coroutines. An Env must
 // not be shared between operating-system threads that run concurrently;
 // all interaction happens from scheduler context (inside a process or an
 // event callback).
@@ -60,9 +63,9 @@ type Env struct {
 	// timers, re-armed completions). They are skipped on pop; when they
 	// outnumber live entries the heap is compacted in place.
 	nDead int
-	// live lists the processes started with Go that have not returned,
-	// newest first; procs is its length. idle holds coroutines whose last
-	// process returned, waiting for the next one (see proc.go).
+	// live lists the processes created with Go or GoAt that have not
+	// returned, newest first; procs is its length. idle holds coroutines
+	// whose last process returned, waiting for the next one (see proc.go).
 	live  *Proc
 	procs int
 	idle  []*coro
@@ -110,9 +113,9 @@ func (e *Env) Pending() int { return e.q.len() - e.nDead }
 // compaction — white-box tests bound it under cancel churn.
 func (e *Env) queueLen() int { return e.q.len() }
 
-// Live returns the number of processes that have been started with Go and
-// have not yet returned. Shutdown unwinds them all, so Live is 0 as soon as
-// it returns.
+// Live returns the number of processes that have been created with Go or
+// GoAt and have not yet returned; this includes scheduled, not yet started
+// processes. Shutdown unwinds them all, so Live is 0 as soon as it returns.
 func (e *Env) Live() int { return e.procs }
 
 // Audit checks the scheduler's internal bookkeeping: the lazy-deletion

@@ -63,19 +63,27 @@ func (p *Proc) Data() any { return p.data }
 func (p *Proc) Defer(fn func()) { p.cleanups = append(p.cleanups, fn) }
 
 // Go starts a new process running fn. The process begins executing at the
-// current simulated time (after the caller yields control). name is used in
-// diagnostics only. Go after Shutdown panics.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+// current simulated time (after the caller yields control); Go is GoAt at
+// Now. name is used in diagnostics only. Go after Shutdown panics.
+func (e *Env) Go(name string, fn func(p *Proc)) *Proc { return e.GoAt(e.now, name, fn) }
+
+// GoAt is Go with a start time: the process begins executing at absolute
+// simulated time t. It counts in Live from this call on but gets a
+// coroutine only when it starts, so waiting for the start costs one event
+// and the Proc, not a stack. Ending a process with GoAt(Now()+d, …) instead
+// of Sleep(d) schedules the same event at the same point in the sequence,
+// and frees the coroutine for the wait. GoAt before Now panics.
+func (e *Env) GoAt(t time.Duration, name string, fn func(p *Proc)) *Proc {
 	if e.stopped {
 		panic(fmt.Sprintf("des: Go(%q) after Shutdown", name))
 	}
 	p := &Proc{env: e, name: name, fn: fn, next: e.live}
+	e.schedProc(t, p) // panics on t < Now before p joins the live list
 	if e.live != nil {
 		e.live.prev = p
 	}
 	e.live = p
 	e.procs++
-	e.schedProc(e.now, p)
 	return p
 }
 
@@ -172,13 +180,14 @@ func (p *Proc) yield() {
 }
 
 // Shutdown unwinds every process that has not returned — parked, sleeping,
-// or never started — and then stops the idle coroutines, so no goroutine
-// of the Env outlives it (race builds pool them instead, see
-// retireCoro). The unwind is synchronous and serial, newest process first:
-// each is resumed once more and panics out of its Sleep or Park, running
-// its Defer cleanups, and Live() is 0 when Shutdown returns. After
-// Shutdown the Env is unusable. Call it once Run has returned; calling it
-// from scheduler context (a process or an event callback) panics.
+// or never started, a GoAt process waiting for its start included — and
+// then stops the idle coroutines, so no goroutine of the Env outlives it
+// (race builds pool them instead, see retireCoro). The unwind is
+// synchronous and serial, newest process first: each is resumed once more
+// and panics out of its Sleep or Park, running its Defer cleanups, and
+// Live() is 0 when Shutdown returns. After Shutdown the Env is unusable.
+// Call it once Run has returned; calling it from scheduler context (a
+// process or an event callback) panics.
 func (e *Env) Shutdown() {
 	if e.running {
 		panic("des: Shutdown called from scheduler context; call it after Run returns")

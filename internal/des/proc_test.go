@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -219,5 +220,87 @@ func TestRaceBuildsPoolCoroutinesAcrossEnvs(t *testing.T) {
 	second.Run(0)
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("NumGoroutine() = %d after a pooled dispatch, want at most %d", got, before)
+	}
+}
+
+// GoAt starts its process exactly at t, and Go still starts at Now: here a
+// GoAt start and a Go start share an instant and run in call order.
+func TestGoAtStartsAtT(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	env.Run(time.Second)
+	var order []string
+	var startedAt []time.Duration
+	start := func(p *Proc) {
+		order = append(order, p.Name())
+		startedAt = append(startedAt, p.Now())
+	}
+	env.GoAt(3*time.Second, "later", start)
+	env.GoAt(time.Second, "at-now", start)
+	env.Go("go", start)
+	env.Run(time.Hour)
+	if got := fmt.Sprint(order, startedAt); got != "[at-now go later] [1s 1s 3s]" {
+		t.Errorf("processes started as %s, want [at-now go later] [1s 1s 3s]", got)
+	}
+}
+
+// GoAt before Now panics and leaves the Env as it was.
+func TestGoAtBeforeNowPanics(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	env.Run(time.Second)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "before now") {
+				t.Errorf("recovered %q, want the scheduling-in-the-past panic", msg)
+			}
+		}()
+		env.GoAt(time.Second-1, "past", func(p *Proc) { t.Error("past process ran") })
+	}()
+	if env.Live() != 0 || env.Pending() != 0 {
+		t.Errorf("after the panic: Live() = %d, Pending() = %d; want 0, 0", env.Live(), env.Pending())
+	}
+	env.Run(time.Hour)
+}
+
+// A GoAt process counts in Live from the call on, holds no coroutine until
+// it starts, and leaves Live when it returns.
+func TestGoAtCountsLiveFromCall(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	p := env.GoAt(time.Hour, "waiting", func(p *Proc) {})
+	if env.Live() != 1 || env.Pending() != 1 {
+		t.Fatalf("after GoAt: Live() = %d, Pending() = %d; want 1, 1", env.Live(), env.Pending())
+	}
+	env.Run(time.Hour - 1)
+	if env.Live() != 1 || p.co != nil {
+		t.Fatalf("before its start: Live() = %d, coroutine bound = %v; want 1, false", env.Live(), p.co != nil)
+	}
+	env.Run(time.Hour)
+	if env.Live() != 0 {
+		t.Errorf("after it returned: Live() = %d, want 0", env.Live())
+	}
+}
+
+// Shutdown finishes a GoAt process that never started through the
+// cleanup-only path: its cleanups run, its body does not, and no coroutine
+// is started for it.
+func TestShutdownFinishesUnstartedGoAt(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	env.Run(time.Second)
+	cleaned := 0
+	p := env.GoAt(time.Hour, "unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	p.Defer(func() { cleaned++ })
+	env.Run(time.Minute)
+	env.Shutdown()
+	if env.Live() != 0 || cleaned != 1 {
+		t.Errorf("after Shutdown: Live() = %d, cleanups = %d; want 0, 1", env.Live(), cleaned)
+	}
+	if p.co != nil {
+		t.Error("Shutdown bound a coroutine to a process that never started")
+	}
+	if got := runtime.NumGoroutine(); got > before && !raceEnabled {
+		t.Errorf("NumGoroutine() = %d after Shutdown, want at most %d", got, before)
 	}
 }

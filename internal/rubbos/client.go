@@ -2,6 +2,7 @@ package rubbos
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/softres/ntier/internal/des"
@@ -59,8 +60,10 @@ func DefaultClientConfig(users int) ClientConfig {
 
 // Workload is a running set of emulated user sessions.
 type Workload struct {
-	cfg   ClientConfig
-	table *Table
+	cfg     ClientConfig
+	table   *Table
+	target  Target
+	collect Collector
 
 	issued    uint64
 	completed uint64
@@ -167,10 +170,10 @@ func (w *Workload) AuditQuiescent() error {
 	return nil
 }
 
-// Start launches cfg.Users session processes against target. Each session
-// loops forever: think, issue the current interaction, record the response
-// time, pick the next interaction from the navigation matrix. Sessions stop
-// when the simulation stops; the experiment layer gates measurement windows.
+// Start launches cfg.Users sessions against target. Each session loops
+// forever: think, issue the current interaction, record the response time,
+// pick the next interaction from the navigation matrix. Sessions stop when
+// the simulation stops; the experiment layer gates measurement windows.
 func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect Collector) (*Workload, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("rubbos: %d users", cfg.Users)
@@ -187,66 +190,114 @@ func Start(env *des.Env, cfg ClientConfig, table *Table, target Target, collect 
 	if cfg.Patience > 0 && cfg.AbandonThink == 0 {
 		cfg.AbandonThink = 3 * cfg.ThinkMean
 	}
-	w := &Workload{cfg: cfg, table: table}
-	for u := 0; u < cfg.Users; u++ {
+	w := &Workload{cfg: cfg, table: table, target: target, collect: collect}
+	sessions := make([]session, cfg.Users)
+	var buf [24]byte
+	for u := range sessions {
+		s := &sessions[u]
 		// label doubles as the RNG stream name and the diagnostic process
 		// name; it is part of the deterministic contract (changing stream
-		// labels changes every trial outcome) and so must stay "user-%d".
-		label := fmt.Sprintf("user-%d", u)
-		r := rng.NewStream(cfg.Seed, label)
-		var offset time.Duration
+		// labels changes every trial outcome) and so must stay "user-<u>".
+		// Appending into buf makes it one allocation.
+		s.label = string(strconv.AppendInt(append(buf[:0], "user-"...), int64(u), 10))
+		s.r = *rng.NewStream(cfg.Seed, s.label)
+		s.w = w
+		s.state = StoriesOfTheDay
+		s.think = cfg.ThinkMean
 		if cfg.RampUp > 0 {
-			offset = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
+			s.offset = time.Duration(uint64(cfg.RampUp) * uint64(u) / uint64(cfg.Users))
 		}
-		env.Go(label, func(p *des.Proc) {
-			p.Sleep(offset)
-			state := StoriesOfTheDay
-			think := cfg.ThinkMean
-			for {
-				p.Sleep(time.Duration(r.Exp(float64(think))))
-				if w.stopped {
-					return
-				}
-				think = cfg.ThinkMean
-				it := &w.table.Items[state]
-				issued := p.Now()
-				w.issued++
-				var tr *trace.Trace
-				if cfg.Tracer != nil {
-					if tr = cfg.Tracer.Sample(it.Name, issued); tr != nil {
-						p.SetData(tr)
-					}
-				}
-				err := target.Do(p, it)
-				if tr != nil {
-					cfg.Tracer.Finish(tr, p.Now())
-					p.SetData(nil)
-				}
-				rt := p.Now() - issued
-				if err != nil {
-					// Error page: the user stays on the same state and
-					// reloads after a normal think time.
-					w.failed++
-					if collect != nil {
-						collect(it, issued, rt, err)
-					}
-					continue
-				}
-				w.completed++
-				if collect != nil {
-					collect(it, issued, rt, nil)
-				}
-				if cfg.Patience > 0 && rt > cfg.Patience {
-					// Frustrated user: abandon the navigation, return to
-					// the home page after a long pause.
-					w.abandoned++
-					state = StoriesOfTheDay
-					think = cfg.AbandonThink
-					continue
-				}
-				state = cfg.Matrix.Next(r, state)
-			}
-		})
+		s.run = s.step
+		env.Go(s.label, s.run)
 	}
 	return w, nil
+}
+
+// session is one emulated user. It owns a process only while a request is
+// in flight: every wait — the ramp-up offset, each think — ends with the
+// scheduled start of the next process (des.Env.GoAt), so a trial holds a
+// coroutine per request in flight rather than per user. Each wait costs
+// one event, scheduled at the point a Sleep would have scheduled it, so
+// the event sequence is that of a process sleeping in a loop.
+type session struct {
+	w      *Workload
+	label  string
+	r      rng.Rand
+	run    func(p *des.Proc) // step, bound once
+	state  int               // interaction issued next
+	think  time.Duration     // mean of the next think time
+	offset time.Duration     // ramp-up offset before the first think
+	phase  uint8
+}
+
+// Session phases: the start at t=0 waits out the ramp-up offset, the next
+// start draws the first think, and every later start issues a request.
+const (
+	phaseRamp uint8 = iota
+	phaseThink
+	phaseRequest
+)
+
+// step runs one process of the session and schedules the next.
+func (s *session) step(p *des.Proc) {
+	var wait time.Duration
+	switch s.phase {
+	case phaseRamp:
+		s.phase = phaseThink
+		wait = s.offset
+	case phaseThink:
+		s.phase = phaseRequest
+		wait = time.Duration(s.r.Exp(float64(s.think)))
+	default:
+		if s.w.stopped {
+			return
+		}
+		s.request(p)
+		wait = time.Duration(s.r.Exp(float64(s.think)))
+	}
+	p.Env().GoAt(p.Now()+wait, s.label, s.run)
+}
+
+// request issues the session's current interaction on p, records the
+// outcome and picks the interaction and think time that follow.
+func (s *session) request(p *des.Proc) {
+	w := s.w
+	cfg := &w.cfg
+	s.think = cfg.ThinkMean
+	it := &w.table.Items[s.state]
+	issued := p.Now()
+	w.issued++
+	var tr *trace.Trace
+	if cfg.Tracer != nil {
+		if tr = cfg.Tracer.Sample(it.Name, issued); tr != nil {
+			p.SetData(tr)
+		}
+	}
+	err := w.target.Do(p, it)
+	if tr != nil {
+		cfg.Tracer.Finish(tr, p.Now())
+	}
+	rt := p.Now() - issued
+	if err != nil {
+		// Error page: the user stays on the same state and reloads after
+		// a normal think time.
+		w.failed++
+		if w.collect != nil {
+			w.collect(it, issued, rt, err)
+		}
+		return
+	}
+	w.completed++
+	if w.collect != nil {
+		w.collect(it, issued, rt, nil)
+	}
+	if cfg.Patience > 0 && rt > cfg.Patience {
+		// Frustrated user: abandon the navigation, return to the home
+		// page after a long pause.
+		w.abandoned++
+		s.state = StoriesOfTheDay
+		s.think = cfg.AbandonThink
+		return
+	}
+	s.state = cfg.Matrix.Next(&s.r, s.state)
 }
